@@ -129,6 +129,22 @@ if ! awk -v s="$cks" 'BEGIN { exit !(s >= 2.0) }'; then
 fi
 echo "ci: checksum/verify_1460b widened-fold speedup ${cks}x (floor 2x)"
 
+# Steering-hash and quiescence-query microbench gates: the [rss] and
+# [timerwheel] lines must print, and the 12-lookup table Toeplitz hash
+# must hold >= 5x over the reference bit loop (same shape as the
+# checksum gate; the per-hash cost calibrates to millions of iterations
+# even in quick mode, so the ratio is stable).
+if ! grep -q "^\[timerwheel\] next_deadline:" /tmp/ci_bench.out; then
+    echo "ci: FAIL — timerwheel/next_deadline microbench did not run" >&2
+    exit 1
+fi
+rss=$(sed -n 's/^\[rss\] tuple_hash:.*(\([0-9.]*\)x)$/\1/p' /tmp/ci_bench.out)
+if ! awk -v s="$rss" 'BEGIN { exit !(s >= 5.0) }'; then
+    echo "ci: FAIL — rss/tuple_hash table speedup ${rss}x is below the 5x floor" >&2
+    exit 1
+fi
+echo "ci: rss/tuple_hash table speedup ${rss}x (floor 5x)"
+
 # Wall-clock budget: the quick fig5 sweep must stay interactive. The
 # ceiling is generous (slow shared CI hosts), but a scheduler or pool
 # regression that reintroduces the seed's minutes-long runs trips it.
@@ -261,5 +277,14 @@ if ! grep -q "flat migration scaling:" /tmp/ci_fig9s.out; then
     echo "ci: FAIL — quick fig9-scale missed an acceptance gate" >&2
     exit 1
 fi
+
+# Benchmark smoke: one short run of every perfbench workload. Only the
+# exit status is checked; the benchmark's own output checks (in-sequence
+# kv replies, exact echo and NetPIPE bytes, bit-identical repetitions)
+# fail the run, so they guard every hot-path edit.
+start_s=$SECONDS
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 2 --seconds 1 --trace 0 > /dev/null
+echo "ci: perfbench smoke (all workloads, 1 s) took $(( SECONDS - start_s ))s"
 
 echo "ci: all green"

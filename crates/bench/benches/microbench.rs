@@ -12,7 +12,7 @@ use std::hint::black_box;
 
 use ix_mempool::MbufPool;
 use ix_net::ip::Ipv4Addr;
-use ix_net::rss::{hash_ipv4_tuple, TOEPLITZ_DEFAULT_KEY};
+use ix_net::rss::{hash_ipv4_tuple, toeplitz_hash, TOEPLITZ_DEFAULT_KEY, TOEPLITZ_DEFAULT_TABLE};
 use ix_net::tcp::{TcpFlags, TcpHeader};
 use ix_sim::{Histogram, Nanos, Simulator};
 use ix_testkit::bench::BenchRunner;
@@ -206,12 +206,24 @@ fn bench_toeplitz(r: &mut BenchRunner) {
         b.iter(|| {
             port = port.wrapping_add(1);
             black_box(hash_ipv4_tuple(
-                &TOEPLITZ_DEFAULT_KEY,
+                &TOEPLITZ_DEFAULT_TABLE,
                 black_box(src),
                 black_box(dst),
                 port,
                 80,
             ))
+        })
+    });
+    // Baseline: the reference bit loop over the same 12-byte input.
+    r.bench("rss_bitloop/toeplitz_ipv4_tuple", |b| {
+        b.iter(|| {
+            port = port.wrapping_add(1);
+            let mut input = [0u8; 12];
+            input[0..4].copy_from_slice(&black_box(src).octets());
+            input[4..8].copy_from_slice(&black_box(dst).octets());
+            input[8..10].copy_from_slice(&port.to_be_bytes());
+            input[10..12].copy_from_slice(&80u16.to_be_bytes());
+            black_box(toeplitz_hash(&TOEPLITZ_DEFAULT_KEY, &input))
         })
     });
 }
@@ -234,6 +246,15 @@ fn bench_timerwheel(r: &mut BenchRunner) {
             now += 16_000;
             w.advance(now, |_| {});
         })
+    });
+    // The per-cycle quiescence query with a connection's worth of live
+    // timers (RTO, delayed ACK, persist, TIME_WAIT spread over levels).
+    r.bench("timerwheel/next_deadline", |b| {
+        let mut w: TimerWheel<u64> = TimerWheel::new();
+        for (i, delay) in [200_000u64, 40_000_000, 200_000_000, 1_000_000_000].iter().enumerate() {
+            w.schedule(*delay, i as u64);
+        }
+        b.iter(|| black_box(black_box(&w).next_deadline_ns()))
     });
 }
 
@@ -714,13 +735,25 @@ fn bench_migrate(r: &mut BenchRunner) {
 
     fn bucket_of_key(k: u64) -> u16 {
         let hash = hash_ipv4_tuple(
-            &TOEPLITZ_DEFAULT_KEY,
+            &TOEPLITZ_DEFAULT_TABLE,
             Ipv4Addr((k >> 32) as u32),
             LOCAL_IP,
             (k >> 16) as u16,
             k as u16,
         );
         (hash & (NUM_BUCKETS as u32 - 1)) as u16
+    }
+
+    /// `bucket_of_key` as the replaced per-flow pipeline computed it:
+    /// through the reference bit-loop Toeplitz hash, so the baseline
+    /// models that pipeline unchanged.
+    fn bucket_of_key_bitloop(k: u64) -> u16 {
+        let mut input = [0u8; 12];
+        input[0..4].copy_from_slice(&((k >> 32) as u32).to_be_bytes());
+        input[4..8].copy_from_slice(&LOCAL_IP.octets());
+        input[8..10].copy_from_slice(&((k >> 16) as u16).to_be_bytes());
+        input[10..12].copy_from_slice(&(k as u16).to_be_bytes());
+        (toeplitz_hash(&TOEPLITZ_DEFAULT_KEY, &input) & (NUM_BUCKETS as u32 - 1)) as u16
     }
 
     /// RTO-shaped timer spread, constant per (flow, slot) so the wheel
@@ -763,7 +796,7 @@ fn bench_migrate(r: &mut BenchRunner) {
     /// four individual wheel round-trips per flow.
     fn extract_perflow(m: &mut FlowMap<Flow>, w: &mut TimerWheel<u64>, b: u16) -> Vec<(u64, u16, Flow)> {
         let mut batch = m.collect_keys();
-        batch.retain(|&k| bucket_of_key(k) == b);
+        batch.retain(|&k| bucket_of_key_bitloop(k) == b);
         batch.sort_unstable();
         let mut out = Vec::with_capacity(batch.len());
         for &k in &batch {
@@ -1611,6 +1644,21 @@ fn write_report(r: &BenchRunner) {
     cmp.push('}');
     if cmp.len() > 2 {
         ix_bench::report::update_section(&format!("rxbatch_speedup{suffix}"), &cmp);
+    }
+
+    // And for the steering hash and the quiescence query: the 12-lookup
+    // table against the reference bit loop, and the wheel's
+    // earliest-deadline scan with a few live timers.
+    if let (Some(new), Some(base)) =
+        (find("rss/toeplitz_ipv4_tuple"), find("rss_bitloop/toeplitz_ipv4_tuple"))
+    {
+        println!(
+            "[rss] tuple_hash: {new:.1} ns/hash vs bit loop {base:.1} ns/hash ({:.2}x)",
+            base / new
+        );
+    }
+    if let Some(ns) = find("timerwheel/next_deadline") {
+        println!("[timerwheel] next_deadline: {ns:.1} ns/query (4 live timers)");
     }
 }
 

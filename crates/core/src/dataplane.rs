@@ -55,7 +55,8 @@ pub struct DataplaneStats {
     /// Sum of batch sizes (for average batch size).
     pub batch_sum: u64,
     /// Cycles in which a per-iteration scratch buffer (RX frame batch,
-    /// TX staging, event/result/syscall vectors) had to grow. Warm-up
+    /// TX staging, event/result/syscall vectors, the shard's deferred-ACK
+    /// and fired-timer buffers) had to grow. Warm-up
     /// cycles establish the high-water capacities; steady state is
     /// pinned at 0 growths per cycle by `dataplane_e2e`.
     pub scratch_allocs: u64,
@@ -106,6 +107,8 @@ pub struct ElasticThread {
     /// `scratch_allocs` (ping-ponging buffers of unequal capacity stay
     /// under the mark, so only real reallocation registers).
     scratch_cap_hwm: usize,
+    /// The shard's `scratch_grows` as of the last cycle.
+    shard_grows_seen: u64,
     /// Counters.
     pub stats: DataplaneStats,
 }
@@ -151,6 +154,7 @@ impl ElasticThread {
             syscalls_scratch: Vec::new(),
             kicked_scratch: Vec::new(),
             scratch_cap_hwm: 0,
+            shard_grows_seen: 0,
             stats: DataplaneStats::default(),
         }
     }
@@ -351,9 +355,11 @@ impl ElasticThread {
             + t.syscalls_scratch.capacity()
             + t.kicked_scratch.capacity()
             + t.pending_results.capacity();
-        if cap_now > t.scratch_cap_hwm {
+        let shard_grows = t.shard.scratch_grows();
+        if cap_now > t.scratch_cap_hwm || shard_grows != t.shard_grows_seen {
             t.stats.scratch_allocs += 1;
-            t.scratch_cap_hwm = cap_now;
+            t.scratch_cap_hwm = t.scratch_cap_hwm.max(cap_now);
+            t.shard_grows_seen = shard_grows;
         }
         drop(t);
 

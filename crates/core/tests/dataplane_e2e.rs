@@ -3,9 +3,11 @@
 //! the full Fig 1b cycle on both ends.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use ix_testkit::Bytes;
+use ix_core::api::IxApp;
 use ix_core::dataplane::Dataplane;
 use ix_core::libix::{ConnCtx, Libix, LibixCtx, LibixHandler};
 use ix_core::params::CostParams;
@@ -13,7 +15,7 @@ use ix_core::ixcp::ControlPlane;
 use ix_nic::fabric::Fabric;
 use ix_nic::params::MachineParams;
 use ix_sim::{Nanos, Simulator};
-use ix_tcp::StackConfig;
+use ix_tcp::{AckPolicy, StackConfig};
 
 /// Echoes every received byte back, charging a small service cost.
 struct EchoServer {
@@ -25,6 +27,37 @@ impl LibixHandler for EchoServer {
         ctx.charge(self.service_ns);
         let reply = Bytes::copy_from_slice(data);
         assert!(ctx.write(reply));
+    }
+}
+
+/// Echoes every message back `hold_ns` after it arrived, from `on_tick`
+/// rather than the data callback, so the reply cannot carry the ACK for
+/// the request: with a delayed-ACK policy shorter than the hold, the
+/// delayed-ACK timer fires first and sends it.
+struct HeldEchoServer {
+    hold_ns: u64,
+    /// `(due ns, cookie, message)` in arrival (and so due) order.
+    held: VecDeque<(u64, u64, Bytes)>,
+}
+
+impl LibixHandler for HeldEchoServer {
+    fn on_data(&mut self, ctx: &mut ConnCtx<'_>, data: &Bytes) {
+        self.held.push_back((ctx.now_ns + self.hold_ns, ctx.conn.cookie, Bytes::copy_from_slice(data)));
+    }
+
+    fn on_tick(&mut self, ctx: &mut LibixCtx<'_>) {
+        while self.held.front().is_some_and(|&(due, _, _)| due <= ctx.now_ns) {
+            let (_, cookie, data) = self.held.pop_front().expect("front checked");
+            ctx.write_to(cookie, data);
+        }
+    }
+
+    fn wants_tick(&self, now_ns: u64) -> bool {
+        self.held.front().is_some_and(|&(due, _, _)| due <= now_ns)
+    }
+
+    fn next_deadline_ns(&self) -> Option<u64> {
+        self.held.front().map(|&(due, _, _)| due)
     }
 }
 
@@ -104,12 +137,28 @@ impl LibixHandler for PingClient {
     }
 }
 
-/// Builds a 2-host fabric (client, server), both running IX.
+/// Builds a 2-host fabric (client, server), both running IX, with the
+/// echo server.
 fn setup(
     server_threads: usize,
     msg: usize,
     reps: usize,
     conns: usize,
+) -> (Simulator, Fabric, Dataplane, Dataplane, Rc<RefCell<PingStats>>) {
+    setup_with(server_threads, msg, reps, conns, StackConfig::default(), |_| {
+        Box::new(Libix::new(EchoServer { service_ns: 150 }))
+    })
+}
+
+/// [`setup`] with the server's stack configuration and application
+/// supplied by the caller.
+fn setup_with(
+    server_threads: usize,
+    msg: usize,
+    reps: usize,
+    conns: usize,
+    server_cfg: StackConfig,
+    server_app: impl FnMut(usize) -> Box<dyn IxApp>,
 ) -> (Simulator, Fabric, Dataplane, Dataplane, Rc<RefCell<PingStats>>) {
     let mut sim = Simulator::new(7);
     let mut fabric = Fabric::new(8, MachineParams::default());
@@ -123,9 +172,9 @@ fn setup(
         fabric.host(server),
         server_threads,
         CostParams::default(),
-        StackConfig::default(),
+        server_cfg,
         Some(9000),
-        |_| Box::new(Libix::new(EchoServer { service_ns: 150 })),
+        server_app,
     );
     let r2 = results.clone();
     let cdp = Dataplane::launch(
@@ -241,6 +290,36 @@ fn steady_state_runs_without_scratch_reallocation() {
         "scratch buffers reallocated in steady state ({} cycles)",
         st.iterations - warm.iterations
     );
+}
+
+#[test]
+fn steady_state_timer_fires_and_ack_flushes_run_without_scratch_reallocation() {
+    // Server: delayed ACKs (20 µs, two ticks) behind a 100 µs echo hold,
+    // so every request's ACK leaves from a fired timer. Client: the
+    // default end-of-cycle policy, so every reply goes through the ACK
+    // flush.
+    let server_cfg = StackConfig { ack_policy: AckPolicy::Delayed(20_000), ..StackConfig::default() };
+    let (mut sim, _fabric, sdp, cdp, results) = setup_with(2, 64, 500, 4, server_cfg, |_| {
+        Box::new(Libix::new(HeldEchoServer { hold_ns: 100_000, held: VecDeque::new() }))
+    });
+    sim.run_until(ix_sim::SimTime(Nanos::from_millis(5).as_nanos()));
+    let (warm_s, warm_c) = (sdp.stats(), cdp.stats());
+    let warm_rtts = results.borrow().rtts_ns.len();
+    assert!(warm_rtts > 40, "warmup completed only {warm_rtts} round trips");
+    sim.run_until(ix_sim::SimTime(Nanos::from_millis(500).as_nanos()));
+    let r = results.borrow();
+    assert!(r.done, "run incomplete: {} rtts", r.rtts_ns.len());
+    let (st_s, st_c) = (sdp.stats(), cdp.stats());
+    // Two server frames per request — the timer's bare ACK, then the
+    // reply — show the delayed-ACK timers firing throughout.
+    let rtts = (r.rtts_ns.len() - warm_rtts) as u64;
+    assert!(
+        st_s.tx_packets - warm_s.tx_packets >= 2 * rtts - 4,
+        "delayed-ACK timers did not fire: {} server frames for {rtts} round trips",
+        st_s.tx_packets - warm_s.tx_packets
+    );
+    assert_eq!(st_s.scratch_allocs, warm_s.scratch_allocs, "server scratch reallocated in steady state");
+    assert_eq!(st_c.scratch_allocs, warm_c.scratch_allocs, "client scratch reallocated in steady state");
 }
 
 #[test]

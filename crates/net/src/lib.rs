@@ -26,7 +26,7 @@ pub use arp::{ArpOp, ArpPacket};
 pub use eth::{EthHeader, EtherType, MacAddr};
 pub use icmp::{IcmpHeader, IcmpType};
 pub use ip::{IpProto, Ipv4Addr, Ipv4Header};
-pub use rss::{toeplitz_hash, RssKey, TOEPLITZ_DEFAULT_KEY};
+pub use rss::{toeplitz_hash, RssKey, RssTable, TOEPLITZ_DEFAULT_KEY, TOEPLITZ_DEFAULT_TABLE};
 pub use tcp::{TcpFlags, TcpHeader};
 pub use udp::UdpHeader;
 pub use wire::{frame_wire_bytes, FlowTuple, ETH_MTU, MAX_FRAME, MIN_FRAME};

@@ -30,7 +30,10 @@ pub const TOEPLITZ_DEFAULT_KEY: RssKey = RssKey([
 /// Computes the Toeplitz hash of `input` under `key`.
 ///
 /// For each set bit of the input (most-significant first), XORs in the
-/// 32-bit window of the key starting at that bit position.
+/// 32-bit window of the key starting at that bit position. This bit loop
+/// is the reference definition; the steering paths use the equivalent
+/// table form, [`hash_ipv4_tuple`], and the tests check one against the
+/// other.
 pub fn toeplitz_hash(key: &RssKey, input: &[u8]) -> u32 {
     assert!(
         input.len() + 4 <= key.0.len(),
@@ -57,16 +60,67 @@ pub fn toeplitz_hash(key: &RssKey, input: &[u8]) -> u32 {
     result
 }
 
+/// Bytes in the IPv4 4-tuple hash input.
+const TUPLE_LEN: usize = 12;
+
+/// A key's Toeplitz hash precomputed per input byte for the 12-byte IPv4
+/// 4-tuple: entry `[i][b]` is the hash of an input that is zero except
+/// for byte value `b` at offset `i`. The hash is linear over XOR, so a
+/// tuple's hash is the XOR of its twelve byte entries — 12 lookups in
+/// place of the 96-step bit loop.
+pub struct RssTable([[u32; 256]; TUPLE_LEN]);
+
+impl RssTable {
+    /// Builds the table for `key`; a `const fn`, so a fixed key's table
+    /// is computed at compile time.
+    pub const fn new(key: &RssKey) -> RssTable {
+        let k = &key.0;
+        let mut table = [[0u32; 256]; TUPLE_LEN];
+        let mut i = 0;
+        while i < TUPLE_LEN {
+            // Key bits 8i..8i+40: the windows of input byte i's 8 bits
+            // start at offsets 0..8 of this span.
+            let span = (k[i] as u64) << 32
+                | (k[i + 1] as u64) << 24
+                | (k[i + 2] as u64) << 16
+                | (k[i + 3] as u64) << 8
+                | k[i + 4] as u64;
+            let mut b = 0;
+            while b < 256 {
+                let mut h = 0u32;
+                let mut bit = 0;
+                while bit < 8 {
+                    if b >> (7 - bit) & 1 == 1 {
+                        h ^= (span >> (8 - bit)) as u32;
+                    }
+                    bit += 1;
+                }
+                table[i][b] = h;
+                b += 1;
+            }
+            i += 1;
+        }
+        RssTable(table)
+    }
+}
+
+/// The table of [`TOEPLITZ_DEFAULT_KEY`], built at compile time.
+pub static TOEPLITZ_DEFAULT_TABLE: RssTable = RssTable::new(&TOEPLITZ_DEFAULT_KEY);
+
 /// Computes the RSS hash for an IPv4 TCP/UDP 4-tuple, in the canonical
 /// input order: source address, destination address, source port,
-/// destination port.
-pub fn hash_ipv4_tuple(key: &RssKey, src: Ipv4Addr, dst: Ipv4Addr, src_port: u16, dst_port: u16) -> u32 {
-    let mut input = [0u8; 12];
+/// destination port. Equal to [`toeplitz_hash`] under the table's key.
+pub fn hash_ipv4_tuple(table: &RssTable, src: Ipv4Addr, dst: Ipv4Addr, src_port: u16, dst_port: u16) -> u32 {
+    let mut input = [0u8; TUPLE_LEN];
     input[0..4].copy_from_slice(&src.octets());
     input[4..8].copy_from_slice(&dst.octets());
     input[8..10].copy_from_slice(&src_port.to_be_bytes());
     input[10..12].copy_from_slice(&dst_port.to_be_bytes());
-    toeplitz_hash(key, &input)
+    let mut hash = 0;
+    for (row, &byte) in table.0.iter().zip(&input) {
+        hash ^= row[byte as usize];
+    }
+    hash
 }
 
 /// Maps a hash to one of `n` queues the way the 82599 does: the low 7 bits
@@ -97,8 +151,14 @@ mod tests {
         for &(s, sp, d, dp, expect) in VECTORS {
             let src = Ipv4Addr::new(s.0, s.1, s.2, s.3);
             let dst = Ipv4Addr::new(d.0, d.1, d.2, d.3);
-            let got = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_KEY, src, dst, sp, dp);
+            let got = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_TABLE, src, dst, sp, dp);
             assert_eq!(got, expect, "vector {src}:{sp} -> {dst}:{dp}");
+            let mut input = [0u8; 12];
+            input[0..4].copy_from_slice(&src.octets());
+            input[4..8].copy_from_slice(&dst.octets());
+            input[8..10].copy_from_slice(&sp.to_be_bytes());
+            input[10..12].copy_from_slice(&dp.to_be_bytes());
+            assert_eq!(toeplitz_hash(&TOEPLITZ_DEFAULT_KEY, &input), expect, "bit loop");
         }
     }
 
@@ -124,11 +184,11 @@ mod tests {
     fn deterministic_and_flow_consistent() {
         let src = Ipv4Addr::new(10, 0, 0, 1);
         let dst = Ipv4Addr::new(10, 0, 0, 2);
-        let a = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_KEY, src, dst, 1000, 80);
-        let b = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_KEY, src, dst, 1000, 80);
+        let a = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_TABLE, src, dst, 1000, 80);
+        let b = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_TABLE, src, dst, 1000, 80);
         assert_eq!(a, b);
         // A different source port gives (almost certainly) a different hash.
-        let c = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_KEY, src, dst, 1001, 80);
+        let c = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_TABLE, src, dst, 1001, 80);
         assert_ne!(a, c);
     }
 
@@ -138,7 +198,7 @@ mod tests {
         let mut counts = vec![0u32; n as usize];
         for port in 1000u16..3000 {
             let h = hash_ipv4_tuple(
-                &TOEPLITZ_DEFAULT_KEY,
+                &TOEPLITZ_DEFAULT_TABLE,
                 Ipv4Addr::new(10, 0, 0, 1),
                 Ipv4Addr::new(10, 0, 0, 2),
                 port,

@@ -1,6 +1,7 @@
 //! Property tests (ix-testkit harness) for the wire codecs: every header round-trips through
 //! encode/decode, checksums detect single-bit corruption, and the
-//! Toeplitz hash is stable under input reconstruction.
+//! Toeplitz hash is stable under input reconstruction, its table form
+//! agreeing with the bit-loop reference under any key.
 
 use ix_testkit::prelude::*;
 
@@ -170,17 +171,45 @@ props! {
     fn toeplitz_deterministic_and_port_sensitive(
         src in any::<u32>(), dst in any::<u32>(), sp in any::<u16>(), dp in any::<u16>(),
     ) {
-        use ix_net::rss::{hash_ipv4_tuple, TOEPLITZ_DEFAULT_KEY};
-        let a = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_KEY, Ipv4Addr(src), Ipv4Addr(dst), sp, dp);
-        let b = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_KEY, Ipv4Addr(src), Ipv4Addr(dst), sp, dp);
+        use ix_net::rss::{
+            hash_ipv4_tuple, toeplitz_hash, RssKey, RssTable, TOEPLITZ_DEFAULT_KEY,
+            TOEPLITZ_DEFAULT_TABLE,
+        };
+        /// A key other than the default, so the table builder is checked
+        /// for more than the one key the steering paths use.
+        const OTHER_KEY: RssKey = {
+            let mut k = [0u8; 40];
+            let mut i = 0;
+            while i < 40 {
+                k[i] = (i as u8).wrapping_mul(97) ^ 0xa5;
+                i += 1;
+            }
+            RssKey(k)
+        };
+        static OTHER_TABLE: RssTable = RssTable::new(&OTHER_KEY);
+
+        let a = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_TABLE, Ipv4Addr(src), Ipv4Addr(dst), sp, dp);
+        let b = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_TABLE, Ipv4Addr(src), Ipv4Addr(dst), sp, dp);
         prop_assert_eq!(a, b);
+        // The table path equals the reference bit loop, under the default
+        // key and under another one.
+        let mut input = [0u8; 12];
+        input[0..4].copy_from_slice(&src.to_be_bytes());
+        input[4..8].copy_from_slice(&dst.to_be_bytes());
+        input[8..10].copy_from_slice(&sp.to_be_bytes());
+        input[10..12].copy_from_slice(&dp.to_be_bytes());
+        prop_assert_eq!(a, toeplitz_hash(&TOEPLITZ_DEFAULT_KEY, &input));
+        prop_assert_eq!(
+            hash_ipv4_tuple(&OTHER_TABLE, Ipv4Addr(src), Ipv4Addr(dst), sp, dp),
+            toeplitz_hash(&OTHER_KEY, &input)
+        );
         // Flipping the low bit of the source port changes the hash by a
         // fixed XOR pattern (linearity of Toeplitz); it must not be zero.
-        let c = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_KEY, Ipv4Addr(src), Ipv4Addr(dst), sp ^ 1, dp);
+        let c = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_TABLE, Ipv4Addr(src), Ipv4Addr(dst), sp ^ 1, dp);
         prop_assert_ne!(a, c);
         prop_assert_eq!(a ^ c, {
-            let d = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_KEY, Ipv4Addr(0), Ipv4Addr(0), 1, 0);
-            let z = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_KEY, Ipv4Addr(0), Ipv4Addr(0), 0, 0);
+            let d = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_TABLE, Ipv4Addr(0), Ipv4Addr(0), 1, 0);
+            let z = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_TABLE, Ipv4Addr(0), Ipv4Addr(0), 0, 0);
             d ^ z
         });
     }

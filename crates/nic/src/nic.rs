@@ -8,7 +8,7 @@ use ix_mempool::Mbuf;
 use ix_net::eth::{EthHeader, EtherType, MacAddr};
 use ix_net::filter::{self, FilterPolicy, Verdict};
 use ix_net::ip::IpProto;
-use ix_net::rss::{hash_ipv4_tuple, RssKey, TOEPLITZ_DEFAULT_KEY};
+use ix_net::rss::{hash_ipv4_tuple, TOEPLITZ_DEFAULT_TABLE};
 use ix_sim::Simulator;
 
 use crate::params::MachineParams;
@@ -63,7 +63,6 @@ pub struct Nic {
     /// The switch port this NIC is cabled to.
     pub switch_port: u16,
     params: MachineParams,
-    rss_key: RssKey,
     /// 128-entry redirection table mapping `hash & 0x7f` to a queue.
     redirection: Vec<QueueId>,
     rx: Vec<RxRing>,
@@ -103,7 +102,6 @@ impl Nic {
         Nic {
             mac,
             switch_port: u16::MAX,
-            rss_key: TOEPLITZ_DEFAULT_KEY,
             redirection: (0..128).map(|i| i % queues).collect(),
             rx: (0..queues)
                 .map(|_| RxRing::with_pool(ring, ring + params.rx_extra_bufs))
@@ -241,7 +239,7 @@ impl Nic {
         let l4 = &ip[ihl..];
         let sp = u16::from_be_bytes([l4[0], l4[1]]);
         let dp = u16::from_be_bytes([l4[2], l4[3]]);
-        let hash = hash_ipv4_tuple(&self.rss_key, src, dst, sp, dp);
+        let hash = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_TABLE, src, dst, sp, dp);
         self.redirection[(hash & 0x7f) as usize]
     }
 
@@ -254,7 +252,7 @@ impl Nic {
         src_port: u16,
         dst_port: u16,
     ) -> QueueId {
-        let hash = hash_ipv4_tuple(&self.rss_key, src, dst, src_port, dst_port);
+        let hash = hash_ipv4_tuple(&TOEPLITZ_DEFAULT_TABLE, src, dst, src_port, dst_port);
         self.redirection[(hash & 0x7f) as usize]
     }
 

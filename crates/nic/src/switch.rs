@@ -13,7 +13,7 @@ use std::rc::Rc;
 use ix_faults::{FaultsRef, LinkVerdict};
 use ix_mempool::Mbuf;
 use ix_net::eth::{EthHeader, EtherType, MacAddr};
-use ix_net::rss::{hash_ipv4_tuple, TOEPLITZ_DEFAULT_KEY};
+use ix_net::rss::{hash_ipv4_tuple, TOEPLITZ_DEFAULT_TABLE};
 use ix_sim::{Nanos, SimTime, Simulator};
 
 use crate::nic::{Nic, NicRef};
@@ -26,6 +26,14 @@ enum PortSel {
     One(u16),
     /// A link-aggregation group; member chosen by L3+L4 hash.
     Lag(Vec<u16>),
+}
+
+/// Where one frame goes: unicast and LAG traffic resolves to a single
+/// port without allocating; only a broadcast builds a port list.
+enum Egress {
+    Drop,
+    One(u16),
+    Flood(Vec<u16>),
 }
 
 #[derive(Debug, Default)]
@@ -102,30 +110,32 @@ impl Switch {
     }
 
     /// Resolves the output port(s) for a frame.
-    fn resolve(&mut self, frame: &Mbuf, in_port: u16) -> Vec<u16> {
+    fn resolve(&mut self, frame: &Mbuf, in_port: u16) -> Egress {
         let data = frame.data();
         if data.len() < EthHeader::LEN {
-            return Vec::new();
+            return Egress::Drop;
         }
         let dst = MacAddr([data[0], data[1], data[2], data[3], data[4], data[5]]);
         if dst.is_broadcast() {
             self.stats.flooded += 1;
-            return (0..self.ports.len() as u16)
-                .filter(|&p| p != in_port && self.attached[p as usize].is_some())
-                .collect();
+            return Egress::Flood(
+                (0..self.ports.len() as u16)
+                    .filter(|&p| p != in_port && self.attached[p as usize].is_some())
+                    .collect(),
+            );
         }
         match self.table.get(&dst) {
             Some(PortSel::One(p)) => {
                 self.stats.forwarded += 1;
-                vec![*p]
+                Egress::One(*p)
             }
             Some(PortSel::Lag(members)) => {
                 self.stats.forwarded += 1;
-                vec![members[Switch::lag_hash(data) % members.len()]]
+                Egress::One(members[Switch::lag_hash(data) % members.len()])
             }
             None => {
                 self.stats.unknown_dropped += 1;
-                Vec::new()
+                Egress::Drop
             }
         }
     }
@@ -146,7 +156,7 @@ impl Switch {
         let l4 = &ip[ihl..];
         let sp = u16::from_be_bytes([l4[0], l4[1]]);
         let dp = u16::from_be_bytes([l4[2], l4[3]]);
-        hash_ipv4_tuple(&TOEPLITZ_DEFAULT_KEY, src, dst, sp, dp) as usize
+        hash_ipv4_tuple(&TOEPLITZ_DEFAULT_TABLE, src, dst, sp, dp) as usize
     }
 
     /// A frame has fully arrived at `in_port`. Forwards it: cut-through
@@ -180,12 +190,18 @@ impl Switch {
 
     /// The fault-free forwarding body of [`Switch::ingress`].
     fn forward(switch: &Rc<RefCell<Switch>>, sim: &mut Simulator, frame: Mbuf, in_port: u16) {
-        let outs = switch.borrow_mut().resolve(&frame, in_port);
+        // Bound first: the `RefMut` must drop before `egress` borrows.
+        let egress = switch.borrow_mut().resolve(&frame, in_port);
+        let outs = match egress {
+            Egress::Drop => return,
+            Egress::One(out) => return Switch::egress(switch, sim, frame, out),
+            Egress::Flood(outs) => outs,
+        };
         let Some((&last, rest)) = outs.split_last() else {
             return;
         };
-        // Clone for all but the last output (flood path only); the common
-        // unicast case moves the frame without copying.
+        // Clone for all but the last flooded port; unicast moves the
+        // frame without copying.
         for &out in rest {
             Switch::egress(switch, sim, frame.clone(), out);
         }

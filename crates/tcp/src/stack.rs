@@ -247,8 +247,14 @@ pub struct TcpShard {
     events: Vec<TcpEvent>,
     /// Received UDP datagrams.
     udp: Vec<UdpDatagram>,
-    /// Flows with a deferred ACK pending (EndOfCycle policy).
+    /// Flows with a deferred ACK pending (EndOfCycle policy). Drained
+    /// every cycle; the drains hand its capacity back.
     pending_acks: Vec<u64>,
+    /// Reusable buffer for the timers one `advance_timers` call fires.
+    fired_timers: Vec<TimerEntry>,
+    /// Pushes into `pending_acks` or `fired_timers` that had to
+    /// reallocate (see [`TcpShard::scratch_grows`]).
+    scratch_grows: u64,
     steer: Option<(usize, SteerFn)>,
     next_gen: u32,
     iss: u32,
@@ -288,6 +294,15 @@ pub struct TcpShard {
 
 const EPH_LO: u16 = 16_384;
 
+/// Pushes onto a reused scratch buffer, counting the push in `grows`
+/// when it has to reallocate.
+fn push_scratch<T>(buf: &mut Vec<T>, item: T, grows: &mut u64) {
+    if buf.len() == buf.capacity() {
+        *grows += 1;
+    }
+    buf.push(item);
+}
+
 impl TcpShard {
     /// Creates a shard for a host with the given addresses.
     pub fn new(cfg: StackConfig, local_ip: Ipv4Addr, local_mac: MacAddr) -> TcpShard {
@@ -308,6 +323,8 @@ impl TcpShard {
             events: Vec::new(),
             udp: Vec::new(),
             pending_acks: Vec::new(),
+            fired_timers: Vec::new(),
+            scratch_grows: 0,
             steer: None,
             next_gen: 1,
             iss: 0x1000,
@@ -368,7 +385,7 @@ impl TcpShard {
     /// extract/absorb then move whole buckets without re-hashing.
     fn rss_bucket_for(&self, remote_ip: Ipv4Addr, remote_port: u16, local_port: u16) -> u16 {
         let hash = ix_net::rss::hash_ipv4_tuple(
-            &ix_net::rss::TOEPLITZ_DEFAULT_KEY,
+            &ix_net::rss::TOEPLITZ_DEFAULT_TABLE,
             remote_ip,
             self.local_ip,
             remote_port,
@@ -461,6 +478,15 @@ impl TcpShard {
     /// True when the shard has nothing queued in any direction.
     pub fn quiescent(&self) -> bool {
         self.tx.is_empty() && self.events.is_empty() && self.pending_acks.is_empty()
+    }
+
+    /// Pushes into the shard's per-cycle scratch buffers (the
+    /// deferred-ACK list and the fired-timer buffer) that had to
+    /// reallocate. Both buffers keep their capacity across cycles, so
+    /// this stops moving once their high-water sizes have been seen; the
+    /// dataplane folds it into its `scratch_allocs` accounting.
+    pub fn scratch_grows(&self) -> u64 {
+        self.scratch_grows
     }
 
     /// Frames currently queued for transmission (without draining them).
@@ -713,7 +739,7 @@ impl TcpShard {
                 // A pending delayed ACK stays on the timer path below; a
                 // plain `need_ack` rides the end-of-cycle flush.
                 if tcb.need_ack && delack.is_none() {
-                    self.pending_acks.push(key);
+                    push_scratch(&mut self.pending_acks, key, &mut self.scratch_grows);
                 }
                 self.stats.rx_pool_outstanding += (tcb.rx_held.len() + tcb.ooo.len()) as u64;
                 if tcb.state == TcpState::SynRcvd {
@@ -726,7 +752,7 @@ impl TcpShard {
                 // flow map, so no whole-`self` call is possible here.
                 if tcb.rss_bucket == NO_BUCKET {
                     let hash = ix_net::rss::hash_ipv4_tuple(
-                        &ix_net::rss::TOEPLITZ_DEFAULT_KEY,
+                        &ix_net::rss::TOEPLITZ_DEFAULT_TABLE,
                         tcb.remote_ip,
                         local_ip,
                         tcb.remote_port,
@@ -1459,7 +1485,7 @@ impl TcpShard {
         tcb.need_ack = true;
         if !*run_acked {
             if !self.pending_acks.contains(&key) {
-                self.pending_acks.push(key);
+                push_scratch(&mut self.pending_acks, key, &mut self.scratch_grows);
             }
             *run_acked = true;
         }
@@ -2101,9 +2127,10 @@ impl TcpShard {
     /// probes, and TIME_WAIT expiries (Fig 1b step 5).
     pub fn advance_timers(&mut self, now_ns: u64) {
         self.now_ns = now_ns;
-        let mut fired = Vec::new();
-        self.wheel.advance(now_ns, |e| fired.push(e));
-        for e in fired {
+        let mut fired = std::mem::take(&mut self.fired_timers);
+        let grows = &mut self.scratch_grows;
+        self.wheel.advance(now_ns, |e| push_scratch(&mut fired, e, grows));
+        for e in fired.drain(..) {
             let Some(tcb) = self.flows.get_mut(e.key) else { continue };
             if tcb.id.gen != e.gen {
                 continue;
@@ -2127,6 +2154,7 @@ impl TcpShard {
                 }
             }
         }
+        self.fired_timers = fired;
     }
 
     fn persist_fire(&mut self, key: u64) {
@@ -2257,7 +2285,7 @@ impl TcpShard {
                 tcb.need_ack = true;
             }
             if !self.pending_acks.contains(&key) {
-                self.pending_acks.push(key);
+                push_scratch(&mut self.pending_acks, key, &mut self.scratch_grows);
             }
         }
     }
@@ -2283,7 +2311,7 @@ impl TcpShard {
     /// data; a second segment forces the ACK out immediately.
     fn delayed_ack_pass(&mut self, delay_ns: u64) {
         let keys = std::mem::take(&mut self.pending_acks);
-        for key in keys {
+        for &key in &keys {
             let Some(tcb) = self.flows.get_mut(key) else { continue };
             if !tcb.need_ack {
                 continue;
@@ -2302,16 +2330,26 @@ impl TcpShard {
                 self.flows.get_mut(key).expect("live").delack_timer = Some(t);
             }
         }
+        self.restore_pending_acks(keys);
     }
 
     fn flush_acks(&mut self) {
         let keys = std::mem::take(&mut self.pending_acks);
-        for key in keys {
+        for &key in &keys {
             let needs = self.flows.get(key).map(|t| t.need_ack).unwrap_or(false);
             if needs {
                 self.emit_bare_ack(key);
             }
         }
+        self.restore_pending_acks(keys);
+    }
+
+    /// Puts a drained `pending_acks` buffer back so its capacity is
+    /// reused next cycle, keeping any keys marked during the drain.
+    fn restore_pending_acks(&mut self, mut keys: Vec<u64>) {
+        keys.clear();
+        keys.append(&mut self.pending_acks);
+        self.pending_acks = keys;
     }
 
     // ------------------------------------------------------------------

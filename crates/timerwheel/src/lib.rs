@@ -30,6 +30,8 @@ pub const LEVELS: usize = 4;
 
 const SLOT_MASK: u64 = (SLOTS_PER_LEVEL as u64) - 1;
 const LEVEL_BITS: u32 = 8;
+/// `u64` words in one level's occupancy bitmap.
+const OCC_WORDS: usize = SLOTS_PER_LEVEL / 64;
 
 /// Handle to a scheduled timer; required to cancel it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,6 +57,10 @@ pub struct TimerWheel<T> {
     resolution_ns: u64,
     /// `slots[level][slot]` holds indices into `entries`.
     slots: Vec<Vec<Vec<u32>>>,
+    /// Occupancy bitmap: bit `s` of `occupied[level]` is set exactly
+    /// when `slots[level][s]` is non-empty, so the earliest-deadline
+    /// query visits occupied slots only instead of all 1,024 headers.
+    occupied: [[u64; OCC_WORDS]; LEVELS],
     entries: Vec<Entry<T>>,
     free_head: u32,
     /// The current tick (time / resolution).
@@ -88,6 +94,7 @@ impl<T> TimerWheel<T> {
             slots: (0..LEVELS)
                 .map(|_| (0..SLOTS_PER_LEVEL).map(|_| Vec::new()).collect())
                 .collect(),
+            occupied: [[0; OCC_WORDS]; LEVELS],
             entries: Vec::new(),
             free_head: NIL,
             now_tick: 0,
@@ -160,11 +167,27 @@ impl<T> TimerWheel<T> {
         ((LEVELS - 1) as u8, slot as u16)
     }
 
+    fn set_occupied(&mut self, level: u8, slot: u16) {
+        self.occupied[level as usize][slot as usize / 64] |= 1 << (slot % 64);
+    }
+
+    fn clear_occupied(&mut self, level: u8, slot: u16) {
+        self.occupied[level as usize][slot as usize / 64] &= !(1 << (slot % 64));
+    }
+
+    /// Empties one slot, returning its chain; the caller relinks or
+    /// frees every entry in it.
+    fn take_slot(&mut self, level: u8, slot: u16) -> Vec<u32> {
+        self.clear_occupied(level, slot);
+        std::mem::take(&mut self.slots[level as usize][slot as usize])
+    }
+
     fn link(&mut self, idx: u32, level: u8, slot: u16) {
         let list = &mut self.slots[level as usize][slot as usize];
         let pos = list.len() as u32;
         list.push(idx);
         self.entries[idx as usize].location = Some((level, slot, pos));
+        self.set_occupied(level, slot);
     }
 
     fn unlink(&mut self, idx: u32) {
@@ -176,6 +199,9 @@ impl<T> TimerWheel<T> {
         list.swap_remove(pos as usize);
         if let Some(&moved) = list.get(pos as usize) {
             self.entries[moved as usize].location = Some((level, slot, pos));
+        }
+        if list.is_empty() {
+            self.clear_occupied(level, slot);
         }
     }
 
@@ -317,21 +343,29 @@ impl<T> TimerWheel<T> {
     }
 
     /// Absolute tick of the earliest pending timer, or `None` when idle.
-    /// Linear in the number of live entries (scans occupied slots).
+    /// Called on every dataplane cycle (through `next_deadline_ns`) and
+    /// by long advances: the occupancy bitmaps steer the scan to occupied
+    /// slots, so its cost follows those slots and their entries, not the
+    /// 1,024 slot headers.
     fn next_deadline_tick(&self) -> Option<u64> {
         if self.live == 0 {
             return None;
         }
-        let mut best: Option<u64> = None;
-        for level in &self.slots {
-            for slot in level {
-                for &idx in slot {
-                    let d = self.entries[idx as usize].deadline;
-                    best = Some(best.map_or(d, |b: u64| b.min(d)));
+        let mut best = u64::MAX;
+        for (level, words) in self.occupied.iter().enumerate() {
+            for (w, &word) in words.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let slot = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    for &idx in &self.slots[level][slot] {
+                        best = best.min(self.entries[idx as usize].deadline);
+                    }
                 }
             }
         }
-        best
+        debug_assert!(best != u64::MAX, "live timers but no occupied slot");
+        Some(best)
     }
 
     /// Teleports the wheel to `tick` (which must not skip any deadline)
@@ -346,6 +380,7 @@ impl<T> TimerWheel<T> {
                 all.append(slot);
             }
         }
+        self.occupied = [[0; OCC_WORDS]; LEVELS];
         self.now_tick = tick;
         for idx in all {
             self.entries[idx as usize].location = None;
@@ -407,8 +442,7 @@ impl<T> TimerWheel<T> {
                     break;
                 }
                 let slot = (self.now_tick >> (LEVEL_BITS * level)) & SLOT_MASK;
-                let moved: Vec<u32> =
-                    std::mem::take(&mut self.slots[level as usize][slot as usize]);
+                let moved = self.take_slot(level as u8, slot as u16);
                 for idx in moved {
                     self.entries[idx as usize].location = None;
                     let deadline = self.entries[idx as usize].deadline;
@@ -417,11 +451,11 @@ impl<T> TimerWheel<T> {
                 }
             }
             // Fire the level-0 slot for this tick.
-            let slot = (self.now_tick & SLOT_MASK) as usize;
-            if self.slots[0][slot].is_empty() {
+            let slot = (self.now_tick & SLOT_MASK) as u16;
+            if self.slots[0][slot as usize].is_empty() {
                 continue;
             }
-            let due: Vec<u32> = std::mem::take(&mut self.slots[0][slot]);
+            let due = self.take_slot(0, slot);
             for idx in due {
                 let e = &mut self.entries[idx as usize];
                 if e.deadline > self.now_tick {
@@ -443,22 +477,27 @@ impl<T> TimerWheel<T> {
     }
 
     /// Nanoseconds until the next pending timer fires, or `None` when the
-    /// wheel is idle. Linear in the distance to the next timer (used by
-    /// quiescent dataplanes to sleep; not on the hot path).
+    /// wheel is idle. Quiescent dataplanes call this at the end of every
+    /// run-to-completion cycle to arm their wake-up, so it is on the hot
+    /// path: the occupancy bitmaps confine the scan to occupied slots, so
+    /// its cost follows those slots and their entries, not the wheel's
+    /// size.
     pub fn next_deadline_ns(&self) -> Option<u64> {
-        if self.live == 0 {
-            return None;
-        }
-        let mut best: Option<u64> = None;
-        for level in &self.slots {
-            for slot in level {
-                for &idx in slot {
-                    let d = self.entries[idx as usize].deadline;
-                    best = Some(best.map_or(d, |b: u64| b.min(d)));
-                }
-            }
-        }
-        best.map(|t| t.saturating_sub(self.now_tick) * self.resolution_ns)
+        self.next_deadline_tick()
+            .map(|t| t.saturating_sub(self.now_tick) * self.resolution_ns)
+    }
+
+    /// Checks that every occupancy bit is set exactly when its slot is
+    /// non-empty; tests call this after each operation.
+    #[doc(hidden)]
+    pub fn occupancy_consistent(&self) -> bool {
+        (0..LEVELS).all(|l| {
+            (0..SLOTS_PER_LEVEL).all(|s| {
+                let bit = self.occupied[l][s / 64] >> (s % 64) & 1 == 1;
+                let empty = self.slots[l][s].is_empty();
+                bit != empty
+            })
+        })
     }
 }
 
